@@ -6,6 +6,12 @@
 // sorted member list (the §4.1 ordering), the designated leader (smallest
 // member id; used only for exit synchronization, not for resolution), and
 // the parent instance for nesting.
+//
+// `members` is the action's closed group (§4.5) and the only copy of it:
+// the ActionManager keeps every InstanceInfo alive for the World's
+// lifetime, and the per-participant engines — ResolverCore, the overlay's
+// Disseminator scopes and RelayTrees, AvoidanceCoordinator — borrow the
+// list by reference instead of copying it.
 #pragma once
 
 #include <vector>
@@ -23,8 +29,7 @@ namespace caa::action {
 struct InstanceInfo {
   ActionInstanceId instance;
   const ActionDecl* decl = nullptr;
-  std::vector<ObjectId> members;  // sorted
-  GroupId group;                  // closed communication group (§4.5)
+  std::vector<ObjectId> members;  // sorted; the closed group (§4.5)
   ActionInstanceId parent;        // invalid for an outermost action
 
   /// Overlay dissemination decision, stamped at create_instance from the

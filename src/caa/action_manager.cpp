@@ -42,7 +42,6 @@ const InstanceInfo& ActionManager::create_instance(const ActionDecl& decl,
   inst->decl = &decl;
   inst->members = std::move(members);
   inst->parent = parent;
-  inst->group = groups_.create(inst->members);  // closed group per §4.5
   inst->overlay = overlay_defaults_;
   inst->use_tree = overlay_defaults_.tree_for(inst->members.size());
   inst->exit = exit_default_;

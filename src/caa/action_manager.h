@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "caa/action_instance.h"
-#include "net/group.h"
 
 namespace caa::action {
 
@@ -35,8 +34,6 @@ struct DebugBugs {
 
 class ActionManager {
  public:
-  explicit ActionManager(net::GroupDirectory& groups) : groups_(groups) {}
-
   /// Declares a new action type with its exception tree (frozen here).
   const ActionDecl& declare(std::string name, ex::ExceptionTree tree);
 
@@ -90,7 +87,6 @@ class ActionManager {
   [[nodiscard]] const DebugBugs& debug_bugs() const { return debug_bugs_; }
 
  private:
-  net::GroupDirectory& groups_;
   overlay::OverlayParams overlay_defaults_;
   exit::ExitKind exit_default_ = exit::ExitKind::kBarrier;
   bool exit_gc_ = false;

@@ -107,7 +107,6 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   ex::Context context;
   context.instance = instance;
   context.action = info.decl->id();
-  context.group = info.group;
   context.tree = &info.decl->tree();
   context.handlers = &dyn.config.handlers;
   context.abortion_handler = dyn.config.abortion_handler;
@@ -1147,7 +1146,12 @@ std::uint32_t Participant::exit_round(ActionInstanceId scope) const {
 
 const std::set<ObjectId>& Participant::exit_excluded(
     ActionInstanceId scope) const {
-  return dyn_of(scope).excluded;
+  // Like exit_protocol_of(), tolerate a closed scope: Paxos Commit's inline
+  // recovery cascade (on_complete -> ensure_recovery -> decision) can close
+  // the scope before its caller sends the vote it was about to send.
+  static const std::set<ObjectId> kNone;
+  const auto it = dyn_.find(scope);
+  return it == dyn_.end() ? kNone : it->second.excluded;
 }
 
 bool Participant::exit_aborting(ActionInstanceId scope) const {
@@ -1165,11 +1169,12 @@ bool Participant::exit_resolution_idle(ActionInstanceId scope) const {
 
 void Participant::exit_unicast(ActionInstanceId scope, ObjectId to,
                                net::MsgKind kind, net::Bytes payload) {
-  const Dyn& dyn = dyn_of(scope);
-  if (dyn.info->use_tree) {
+  const Dyn* dyn = find_dyn(scope);
+  if (dyn == nullptr) return;  // closed under the caller: already decided
+  if (dyn->info->use_tree) {
     // The live leader is the lowest live member — exactly the relay-tree
     // root — so exit traffic aggregates up the tree into shared envelopes.
-    ensure_overlay(*dyn.info);
+    ensure_overlay(*dyn->info);
     overlay_.route(scope, to, kind, std::move(payload));
     return;
   }
@@ -1180,13 +1185,13 @@ void Participant::exit_unicast_many(ActionInstanceId scope,
                                     const std::vector<ObjectId>& targets,
                                     net::MsgKind kind,
                                     const net::Bytes& payload) {
-  if (targets.empty()) return;
-  const Dyn& dyn = dyn_of(scope);
-  if (dyn.info->use_tree) {
+  const Dyn* dyn = find_dyn(scope);
+  if (targets.empty() || dyn == nullptr) return;
+  if (dyn->info->use_tree) {
     // One payload per shared tree edge instead of one RouteItem per target
     // — the whole 2a wave to an acceptor subtree rides a single envelope
     // entry.
-    ensure_overlay(*dyn.info);
+    ensure_overlay(*dyn->info);
     overlay_.route_multi(scope, targets, kind, payload);
     return;
   }

@@ -12,8 +12,7 @@ namespace caa {
 
 World::World(WorldConfig config)
     : config_(config),
-      network_(simulator_, config.seed),
-      actions_(groups_) {
+      network_(simulator_, config.seed) {
   actions_.set_overlay_defaults(config_.overlay);
   actions_.set_exit_defaults(config_.exit_protocol);
   actions_.set_exit_gc(config_.exit_gc);

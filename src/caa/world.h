@@ -1,8 +1,8 @@
 // World: one self-contained simulated distributed system.
 //
-// Owns the simulator, network, name service, group directory, action
-// manager, per-node runtimes and participants. Tests, benchmarks and
-// examples build scenarios against this facade:
+// Owns the simulator, network, name service, action manager, per-node
+// runtimes and participants. Tests, benchmarks and examples build scenarios
+// against this facade:
 //
 //   World w;
 //   auto& o1 = w.add_participant("O1");
@@ -20,7 +20,6 @@
 
 #include "caa/action_manager.h"
 #include "caa/participant.h"
-#include "net/group.h"
 #include "net/network.h"
 #include "net/reliable_link.h"
 #include "overlay/params.h"
@@ -107,7 +106,6 @@ class World {
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] rt::Directory& directory() { return directory_; }
-  [[nodiscard]] net::GroupDirectory& groups() { return groups_; }
   [[nodiscard]] action::ActionManager& actions() { return actions_; }
   [[nodiscard]] sim::TraceLog& trace() { return trace_; }
 
@@ -209,7 +207,6 @@ class World {
   sim::Simulator simulator_;
   net::Network network_;
   rt::Directory directory_;
-  net::GroupDirectory groups_;
   action::ActionManager actions_;
   sim::TraceLog trace_;
   std::vector<std::unique_ptr<rt::Runtime>> runtimes_;

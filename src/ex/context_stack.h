@@ -1,7 +1,7 @@
 // Nested exception contexts — the SA stack of §4.1.
 //
 // Entering a CA action pushes a context (the action's exception tree, this
-// participant's handler table for it, the action's communication group);
+// participant's handler table for it);
 // leaving or aborting pops it. The stack order *is* the nesting order used
 // for innermost-first abortion.
 #pragma once
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ex/handler_table.h"
-#include "net/group.h"
 #include "util/ids.h"
 
 namespace caa::ex {
@@ -38,7 +37,6 @@ using AbortionHandler = std::function<AbortResult()>;
 struct Context {
   ActionInstanceId instance;
   ActionId action;
-  GroupId group;
   const ExceptionTree* tree = nullptr;
   const HandlerTable* handlers = nullptr;
   AbortionHandler abortion_handler;

@@ -40,7 +40,9 @@ class ExitHost {
   /// The scope's current resolution round / attempt tag.
   [[nodiscard]] virtual std::uint32_t exit_round(ActionInstanceId scope)
       const = 0;
-  /// Members excluded (crashed) from the scope so far.
+  /// Members excluded (crashed) from the scope so far. Empty once the scope
+  /// is closed here: a protocol's inline self-delivery can decide and close
+  /// the scope underneath its own caller.
   [[nodiscard]] virtual const std::set<ObjectId>& exit_excluded(
       ActionInstanceId scope) const = 0;
   /// True while an abort chain supersedes the scope's exit.
@@ -51,7 +53,8 @@ class ExitHost {
       const = 0;
 
   /// Unicast to one member; routes along the relay tree for tree-mode
-  /// scopes, sends directly otherwise.
+  /// scopes, sends directly otherwise. Dropped once the scope is closed
+  /// here (its decision is already out).
   virtual void exit_unicast(ActionInstanceId scope, ObjectId to,
                             net::MsgKind kind, net::Bytes payload) = 0;
   /// The SAME payload to many members at once — the Paxos 2a pattern (one

@@ -21,11 +21,10 @@ void put_value(net::WireWriter& w, bool waived, bool ok, ExceptionId signal) {
 
 PaxosCommitExit::PaxosCommitExit(ExitHost& host,
                                  const action::InstanceInfo& info)
-    : host_(host), info_(info) {
-  const std::size_t count = acceptor_count(info.members.size());
-  acceptors_.assign(info.members.begin(),
-                    info.members.begin() + static_cast<std::ptrdiff_t>(count));
-}
+    : host_(host),
+      info_(info),
+      acceptors_(std::span(info.members)
+                     .first(acceptor_count(info.members.size()))) {}
 
 std::size_t PaxosCommitExit::acceptor_count(std::size_t members) {
   if (members <= 2) return members;

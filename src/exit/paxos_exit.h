@@ -31,6 +31,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "exit/exit_protocol.h"
 
@@ -147,7 +148,8 @@ class PaxosCommitExit final : public ExitProtocol {
 
   ExitHost& host_;
   const action::InstanceInfo& info_;
-  std::vector<ObjectId> acceptors_;  // first acceptor_count(N) members
+  // The first acceptor_count(N) members, viewed in place in info_.members.
+  std::span<const ObjectId> acceptors_;
   std::optional<action::DoneMsg> last_done_;  // this member's current vote
   std::uint32_t max_ballot_seen_ = 0;
   std::map<std::uint32_t, AcceptorRound> acceptor_;  // by round

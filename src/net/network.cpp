@@ -88,31 +88,24 @@ void Network::set_latency_window(NodeId src, NodeId dst, sim::Time until,
 ChannelState& Network::channel(NodeId src, NodeId dst) {
   const std::size_t s = src.value();
   const std::size_t d = dst.value();
-  if (s >= channels_.size()) {
-    channels_.resize(s + 1);
-    channels_init_.resize(s + 1);
+  if (s >= channels_.size()) channels_.resize(s + 1);
+  ChannelRow& row = channels_[s];
+  // Plain d+1 growth: capacity still doubles under the hood, and sparse
+  // traffic patterns (a flat action's ACKs all target one raiser) only pay
+  // for the destinations a row actually reaches.
+  if (d >= row.slot.size()) row.slot.resize(d + 1, 0);
+  if (const std::uint32_t slot = row.slot[d]; slot != 0) [[likely]] {
+    return row.states[slot - 1];
   }
-  std::vector<ChannelState>& row = channels_[s];
-  std::vector<bool>& init = channels_init_[s];
-  if (d >= row.size()) {
-    // Plain d+1 growth: capacity still doubles under the hood, and sparse
-    // traffic patterns (a flat action's ACKs all target one raiser) only pay
-    // for the destinations a row actually reaches — eagerly sizing rows to
-    // the node count would construct N states per source up front.
-    row.resize(d + 1);
-    init.resize(d + 1, false);
-  }
-  ChannelState& state = row[d];
-  if (!init[d]) [[unlikely]] {
-    init[d] = true;
-    state.params = default_params_;
-    // Seed deterministically from the pair so behaviour does not depend on
-    // channel creation order.
-    const std::uint64_t mix =
-        seed_ ^ (static_cast<std::uint64_t>(src.value()) << 32) ^
-        (static_cast<std::uint64_t>(dst.value()) + 0x9e3779b97f4a7c15ULL);
-    state.rng = Rng(mix);
-  }
+  ChannelState& state = row.states.emplace_back();
+  row.slot[d] = static_cast<std::uint32_t>(row.states.size());
+  state.params = default_params_;
+  // Seed deterministically from the pair so behaviour does not depend on
+  // channel creation order.
+  const std::uint64_t mix =
+      seed_ ^ (static_cast<std::uint64_t>(src.value()) << 32) ^
+      (static_cast<std::uint64_t>(dst.value()) + 0x9e3779b97f4a7c15ULL);
+  state.rng = Rng(mix);
   return state;
 }
 

@@ -128,6 +128,10 @@ class Network {
     bool registered = false;
   };
 
+  /// The state of the directed channel src->dst, created on first use. The
+  /// reference is invalidated by the next channel creation from `src` (the
+  /// source's pool may reallocate), so callers must not hold it across
+  /// another channel() call.
   ChannelState& channel(NodeId src, NodeId dst);
   /// nullptr when the node was never add_node()ed.
   [[nodiscard]] NodeState* node_state(NodeId node);
@@ -147,14 +151,24 @@ class Network {
   // packet probes src and dst state, so this was three hash lookups per
   // message as an unordered_map.
   std::vector<NodeState> nodes_;
-  // Channel state, direct-indexed [src][dst] by node id. Resolution rounds
-  // touch all ordered pairs, so the former std::map<pair, ChannelState>
-  // paid an O(log N^2) pointer-chasing lookup on every packet — at N=1024
-  // that lookup alone was ~37% of simulator wall time. Rows grow lazily;
-  // the parallel bitset distinguishes "never used" entries so lazily
-  // created channels still get their deterministic per-pair RNG seed.
-  std::vector<std::vector<ChannelState>> channels_;
-  std::vector<std::vector<bool>> channels_init_;
+  // Channel state is sparse: only the ordered pairs that ever carried a
+  // packet (or got a link override) own a ChannelState. Lookup stays a
+  // direct index: per source, a dense row of 4-byte slots sized to the
+  // largest destination the row reached, where 0 means "no channel yet"
+  // and slot i names the source's i-th state (its pool is in creation
+  // order). Relay-tree heap ids stretch rows to ~8x the source id, so
+  // inlining the 120-byte state in those rows cost O(N^2) memory for O(N)
+  // used pairs. The pools are per source, not one for the whole network: a
+  // flat world uses every ordered pair, and one shared vector's
+  // grow-and-copy held two copies of the whole table at once (+18% peak
+  // RSS on the all-pairs N=512 nested_abort benchmark). A lazily created
+  // state is still seeded from (seed, src, dst) alone, so behaviour does
+  // not depend on which channels exist or in what order.
+  struct ChannelRow {
+    std::vector<std::uint32_t> slot;   // by destination node id
+    std::vector<ChannelState> states;  // this source's channels
+  };
+  std::vector<ChannelRow> channels_;  // by source node id
   std::int64_t delivered_total_ = 0;
   // Managed-mode in-flight buffer (empty and untouched in sampled mode).
   struct Parked {

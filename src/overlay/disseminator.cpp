@@ -73,7 +73,6 @@ void Disseminator::register_scope(ActionInstanceId scope,
   CAA_CHECK_MSG(self_.valid(), "Disseminator: configure() before use");
   if (scopes_.contains(scope)) return;
   Scope s;
-  s.members = members;
   s.params = params;
   s.tree = RelayTree(members, std::max<std::uint32_t>(1, params.fanout));
   for (ObjectId m : members) {
@@ -230,8 +229,9 @@ void Disseminator::send_ack(ActionInstanceId scope, std::uint32_t round,
     if (counters_ != nullptr) counters_->add(counter_ids().dead_target);
     return;
   }
-  AckBitmap bits((s.members.size() + 7) / 8, std::byte{0});
-  set_bit(bits, rank_of(s.members, self_));
+  const std::vector<ObjectId>& committee = s.tree.committee();
+  AckBitmap bits((committee.size() + 7) / 8, std::byte{0});
+  set_bit(bits, rank_of(committee, self_));
   merge_ack(s.ack_cache, target, round, bits, /*count_merges=*/false);
   const ObjectId hop = s.tree.next_hop(self_, target);
   merge_ack(outbox_for(scope, s, hop).acks, target, round, bits,
@@ -422,9 +422,10 @@ void Disseminator::on_envelope(ObjectId from, const net::Bytes& payload) {
 void Disseminator::deliver_ack_bitmap(ActionInstanceId scope, const Scope& s,
                                       std::uint32_t round,
                                       const AckBitmap& bits) {
-  for (std::size_t rank = 0; rank < s.members.size(); ++rank) {
+  const std::vector<ObjectId>& committee = s.tree.committee();
+  for (std::size_t rank = 0; rank < committee.size(); ++rank) {
     if (bit_set(bits, rank)) {
-      hooks_.deliver_ack(scope, round, s.members[rank]);
+      hooks_.deliver_ack(scope, round, committee[rank]);
     }
   }
 }
@@ -439,7 +440,8 @@ Result<ActionInstanceId> Disseminator::peek_envelope_scope(
 
 void Disseminator::on_peer_crashed(ObjectId peer) {
   for (auto& [scope, s] : scopes_) {
-    if (!std::binary_search(s.members.begin(), s.members.end(), peer)) {
+    const std::vector<ObjectId>& committee = s.tree.committee();
+    if (!std::binary_search(committee.begin(), committee.end(), peer)) {
       continue;
     }
     if (!s.excluded.insert(peer).second) continue;

@@ -78,13 +78,17 @@ class Disseminator {
   void configure(ObjectId self, Hooks hooks, Counters* counters,
                  obs::HealthGauges* health = nullptr);
 
-  /// Starts serving `scope` over its deterministic tree. `crashed` seeds
-  /// the exclusion set so a late registrant computes the same live tree as
-  /// the survivors. No-op if already registered.
+  /// Starts serving `scope` over its deterministic tree. `members` (the
+  /// sorted committee, InstanceInfo::members) is borrowed and must outlive
+  /// the registration. `crashed` seeds the exclusion set so a late
+  /// registrant computes the same live tree as the survivors. No-op if
+  /// already registered.
   void register_scope(ActionInstanceId scope,
                       const std::vector<ObjectId>& members,
                       const OverlayParams& params,
                       const std::set<ObjectId>& crashed);
+  void register_scope(ActionInstanceId, std::vector<ObjectId>&&,
+                      const OverlayParams&, const std::set<ObjectId>&) = delete;
   [[nodiscard]] bool manages(ActionInstanceId scope) const {
     return scopes_.contains(scope);
   }
@@ -162,9 +166,8 @@ class Disseminator {
   };
 
   struct Scope {
-    std::vector<ObjectId> members;  // full committee, sorted (rank order)
     OverlayParams params;
-    RelayTree tree;
+    RelayTree tree;  // borrows the committee (rank order): tree.committee()
     std::set<ObjectId> excluded;
     std::uint32_t next_seq = 0;           // this member's origin sequence
     std::unordered_set<std::uint64_t> seen;  // squelch: origin<<32 | seq

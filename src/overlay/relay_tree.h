@@ -11,6 +11,12 @@
 // live list and every survivor lands on the same repaired tree (rippled's
 // squelched relay mesh converges the same way, by deterministic re-selection
 // rather than repair messages).
+//
+// The tree borrows the committee: it keeps a pointer to the caller's sorted
+// member list (InstanceInfo::members, which outlives every participant's
+// scopes) and owns a live list of its own only after a rebuild that
+// excludes someone. A healthy tree costs O(1) memory per member instead of
+// an O(N) copy.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +30,22 @@ namespace caa::overlay {
 class RelayTree {
  public:
   RelayTree() = default;
-  /// `members` must be sorted and duplicate-free (InstanceInfo order).
-  RelayTree(std::vector<ObjectId> members, std::uint32_t fanout);
+  /// `members` must be sorted and duplicate-free (InstanceInfo order), and
+  /// must outlive the tree: it is borrowed, not copied.
+  RelayTree(const std::vector<ObjectId>& members, std::uint32_t fanout);
+  RelayTree(std::vector<ObjectId>&&, std::uint32_t) = delete;
 
   /// Recomputes the live layout from the full member list minus `excluded`.
   void rebuild(const std::set<ObjectId>& excluded);
 
   [[nodiscard]] bool contains(ObjectId member) const;
-  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
+  [[nodiscard]] std::size_t live_count() const { return live().size(); }
   [[nodiscard]] std::uint32_t fanout() const { return fanout_; }
+  /// The full (borrowed) committee, excluded members included; a member's
+  /// index here is its rank.
+  [[nodiscard]] const std::vector<ObjectId>& committee() const {
+    return *committee_;
+  }
   [[nodiscard]] ObjectId root() const;
 
   /// Tree neighbors (parent + children) of a live member.
@@ -50,11 +63,18 @@ class RelayTree {
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
+  /// The live members; index = heap position.
+  [[nodiscard]] const std::vector<ObjectId>& live() const {
+    return healed_ ? healed_live_ : *committee_;
+  }
   [[nodiscard]] std::size_t position_of(ObjectId member) const;
 
-  std::vector<ObjectId> all_;   // full committee, sorted
-  std::vector<ObjectId> live_;  // minus excluded; index = heap position
+  const std::vector<ObjectId>* committee_ = &kNoMembers;  // borrowed, sorted
+  std::vector<ObjectId> healed_live_;  // committee minus excluded
+  bool healed_ = false;                // healed_live_ is the live list
   std::uint32_t fanout_ = 8;
+
+  static const std::vector<ObjectId> kNoMembers;
 };
 
 }  // namespace caa::overlay

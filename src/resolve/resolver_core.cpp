@@ -18,12 +18,13 @@ std::string_view to_string(ResolverCore::State state) {
   return "?";
 }
 
-ResolverCore::ResolverCore(ObjectId self, std::vector<ObjectId> members,
+ResolverCore::ResolverCore(ObjectId self,
+                           const std::vector<ObjectId>& members,
                            const ex::ExceptionTree* tree,
                            ActionInstanceId scope, std::uint32_t round,
                            Hooks hooks, std::uint32_t committee)
     : self_(self),
-      members_(std::move(members)),
+      members_(members),
       tree_(tree),
       scope_(scope),
       round_(round),
@@ -35,8 +36,6 @@ ResolverCore::ResolverCore(ObjectId self, std::vector<ObjectId> members,
   CAA_CHECK_MSG(
       std::binary_search(members_.begin(), members_.end(), self_),
       "self must be a group member");
-  lo_state_.assign(members_.size(), kLoAbsent);
-  acked_.assign(members_.size(), 0);
   members_contiguous_ =
       members_.back().value() - members_.front().value() == members_.size() - 1;
 }
@@ -87,10 +86,18 @@ std::vector<ObjectId> ResolverCore::awaited_members() const {
     const ObjectId member = members_[rank];
     if (member == self_ || excluded_.contains(member)) continue;
     const bool ack_due = awaiting_acks_ && state_ != State::kHandling &&
-                         acked_[rank] == 0;
-    if (ack_due || lo_state_[rank] == kLoPending) waiting.push_back(member);
+                         rank_value(acked_, rank) == 0;
+    if (ack_due || rank_value(lo_state_, rank) == kLoPending) {
+      waiting.push_back(member);
+    }
   }
   return waiting;
+}
+
+std::uint8_t& ResolverCore::rank_slot(std::vector<std::uint8_t>& per_rank,
+                                      std::size_t rank) {
+  if (per_rank.empty()) per_rank.assign(members_.size(), 0);
+  return per_rank[rank];
 }
 
 std::size_t ResolverCore::member_rank(ObjectId member) const {
@@ -311,7 +318,8 @@ void ResolverCore::handle_have_nested(const HaveNestedMsg& m) {
   suspend_if_normal();
   // Not completed yet (unless NestedCompleted somehow already arrived, which
   // FIFO channels rule out; a kLoCompleted entry stays completed).
-  if (std::uint8_t& lo = lo_state_[member_rank(m.sender)]; lo == kLoAbsent) {
+  if (std::uint8_t& lo = rank_slot(lo_state_, member_rank(m.sender));
+      lo == kLoAbsent) {
     lo = kLoPending;
     if (!excluded_.contains(m.sender)) ++lo_pending_;
   }
@@ -325,7 +333,7 @@ void ResolverCore::handle_nested_completed(const NestedCompletedMsg& m) {
   CAA_CHECK(m.scope == scope_ && m.round == round_);
   if (excluded_.contains(m.sender)) return;  // signalled exception expunged
   suspend_if_normal();
-  if (std::uint8_t& lo = lo_state_[member_rank(m.sender)];
+  if (std::uint8_t& lo = rank_slot(lo_state_, member_rank(m.sender));
       lo != kLoCompleted) {
     if (lo == kLoPending && !excluded_.contains(m.sender)) --lo_pending_;
     lo = kLoCompleted;
@@ -339,7 +347,8 @@ void ResolverCore::handle_nested_completed(const NestedCompletedMsg& m) {
 
 void ResolverCore::handle_ack(const AckMsg& m) {
   CAA_CHECK(m.scope == scope_ && m.round == round_);
-  if (std::uint8_t& acked = acked_[member_rank(m.sender)]; acked == 0) {
+  if (std::uint8_t& acked = rank_slot(acked_, member_rank(m.sender));
+      acked == 0) {
     acked = 1;
     if (m.sender != self_ && !excluded_.contains(m.sender)) ++acks_live_;
   }
@@ -468,8 +477,8 @@ void ResolverCore::exclude_member(ObjectId peer) {
   }
   if (!excluded_.insert(peer).second) return;
   const std::size_t rank = member_rank(peer);
-  if (acked_[rank] != 0) --acks_live_;  // now counted via excluded_
-  if (lo_state_[rank] == kLoPending) --lo_pending_;
+  if (rank_value(acked_, rank) != 0) --acks_live_;  // now via excluded_
+  if (rank_value(lo_state_, rank) == kLoPending) --lo_pending_;
   // Expunge its exceptions from LE. Exclusion waives the crashed member's
   // ACK, so survivors stop agreeing on whether its in-flight Exception
   // messages are part of the round — the only consistent reading of the

@@ -85,7 +85,9 @@ class ResolverCore {
   };
 
   /// `members` must be the sorted participant list of the action (G_A),
-  /// including `self` — the §4.1 total order.
+  /// including `self` — the §4.1 total order. The engine borrows it (the
+  /// list is InstanceInfo::members, one per instance), so it must outlive
+  /// the engine.
   ///
   /// `committee` implements the paper's fault-tolerance extension ("the
   /// algorithm can be easily extended to the use of a group of objects that
@@ -95,9 +97,12 @@ class ResolverCore {
   /// suspension argument), so all commits carry the same resolved
   /// exception; receivers apply the first and drop the duplicates as
   /// stale. Cost: an extra (committee-1)(N-1) messages — a constant factor.
-  ResolverCore(ObjectId self, std::vector<ObjectId> members,
+  ResolverCore(ObjectId self, const std::vector<ObjectId>& members,
                const ex::ExceptionTree* tree, ActionInstanceId scope,
                std::uint32_t round, Hooks hooks, std::uint32_t committee = 1);
+  ResolverCore(ObjectId, std::vector<ObjectId>&&, const ex::ExceptionTree*,
+               ActionInstanceId, std::uint32_t, Hooks,
+               std::uint32_t = 1) = delete;
 
   /// Closes this round's span if the engine dies mid-resolution (the round
   /// was superseded by an outer resolution aborting the whole context).
@@ -244,8 +249,19 @@ class ResolverCore {
   /// the id is not a group member (the router only delivers group traffic).
   [[nodiscard]] std::size_t member_rank(ObjectId member) const;
 
+  /// LO_i / LP_i slot of `rank`, sizing the array on first write: in a large
+  /// committee most engines never hear an ACK or a HaveNested, and eager
+  /// N-byte arrays in every member's engine cost O(N^2) bytes per action.
+  std::uint8_t& rank_slot(std::vector<std::uint8_t>& per_rank,
+                          std::size_t rank);
+  /// Read side of rank_slot(): an unsized array reads as all zero.
+  [[nodiscard]] static std::uint8_t rank_value(
+      const std::vector<std::uint8_t>& per_rank, std::size_t rank) {
+    return per_rank.empty() ? 0 : per_rank[rank];
+  }
+
   ObjectId self_;
-  std::vector<ObjectId> members_;  // sorted, includes self
+  const std::vector<ObjectId>& members_;  // borrowed, sorted, has self
   const ex::ExceptionTree* tree_;
   ActionInstanceId scope_;
   std::uint32_t round_;
@@ -260,6 +276,7 @@ class ResolverCore {
 
   State state_ = State::kNormal;
   std::vector<ex::Exception> le_;        // LE_i
+  // Sized lazily (rank_slot); empty reads as all zero.
   std::vector<std::uint8_t> lo_state_;   // LO_i: per-rank kLo* state
   std::vector<std::uint8_t> acked_;      // LP_i: per-rank "ACK received"
   // Maintained tallies so completeness checks are O(1). maybe_ready() runs

@@ -49,7 +49,6 @@ struct ActionIdTag {};
 struct ActionInstanceIdTag {};
 struct TxnIdTag {};
 struct ExceptionIdTag {};
-struct GroupIdTag {};
 struct EventIdTag {};
 
 /// Identifies a physical node (one address space) of the simulated network.
@@ -68,8 +67,6 @@ using ActionInstanceId = StrongId<ActionInstanceIdTag, std::uint64_t>;
 using TxnId = StrongId<TxnIdTag, std::uint64_t>;
 /// Identifies an exception class interned in an ExceptionSpace.
 using ExceptionId = StrongId<ExceptionIdTag>;
-/// Identifies a closed communication group.
-using GroupId = StrongId<GroupIdTag, std::uint64_t>;
 /// Identifies a scheduled simulator event (for cancellation).
 using EventId = StrongId<EventIdTag, std::uint64_t>;
 

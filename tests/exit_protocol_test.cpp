@@ -16,6 +16,7 @@
 #include "exit/leave_log.h"
 #include "fault/chaos.h"
 #include "fault/injector.h"
+#include "run/campaign.h"
 #include "scenario/scenarios.h"
 
 namespace caa {
@@ -320,6 +321,24 @@ TEST(ExitChaos, PaxosCrashHeavySmokeRunsClean) {
   options.exit = exit::ExitKind::kPaxos;
   const fault::ChaosReport report = fault::run_chaos_campaign(options);
   EXPECT_EQ(report.violations, 0u) << report.failure_report();
+}
+
+TEST(ExitChaos, RecoveryCascadeClosingTheScopeUnderTheVoteIsTolerated) {
+  // Crash-heavy trial 133 of campaign seed 17728621087760646919: the exit
+  // leader's Done runs ensure_recovery, whose inline self-deliveries decide
+  // and close the scope; the ballot-0 vote that on_complete sends next then
+  // asked the host for the exclusions of a scope no longer open and aborted
+  // the process. Replayed exactly as `caa-chaos --index 133` does.
+  fault::ChaosOptions options;
+  options.seed = 17728621087760646919ULL;
+  options.mix = fault::FaultMix::kCrashHeavy;
+  options.exit = exit::ExitKind::kPaxos;
+  const std::size_t index = 133;
+  const std::uint64_t trial_seed = run::derive_seed(options.seed, index);
+  const fault::FaultPlan plan = fault::chaos_plan(trial_seed, options);
+  const run::WorldResult result =
+      fault::run_chaos_trial(trial_seed, plan, options, index);
+  EXPECT_TRUE(result.ok) << result.error;
 }
 
 TEST(ExitChaos, AssassinPlansRoundTripAndKeepTheProtocol) {

@@ -9,8 +9,12 @@
 // a pre-grown dense table.
 //
 // Also covers WireWriter reuse after take() (the writer re-arms from its
-// pool) and the pool's retention caps.
+// pool) and the pool's retention caps, and pins linear memory growth of
+// relay-tree worlds in the committee size: the same allocator tracks live
+// bytes (malloc_usable_size on both sides, so allocation and release always
+// agree) and their high-water mark.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -20,6 +24,7 @@
 #include "net/wire.h"
 #include "rt/managed_object.h"
 #include "rt/runtime.h"
+#include "scenario/scenarios.h"
 
 // GCC cross-pairs inlined std::vector allocations with the replaced global
 // delete and warns; the replacement new/delete below are malloc/free-matched
@@ -31,46 +36,65 @@
 namespace {
 
 std::atomic<std::int64_t> g_alloc_count{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+void* counted(void* p) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live =
+      g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+  std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void released(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
 // Counting allocator: every global allocation in this binary bumps the
-// counter. Deallocation stays free-based so mismatched sized/unsized
-// forms cannot double-count.
+// counter and the live-byte tally. Deallocation stays free-based so
+// mismatched sized/unsized forms cannot double-count.
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = 1;
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size)) return counted(p);
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = 1;
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size) != 0) {
     throw std::bad_alloc();
   }
-  return p;
+  return counted(p);
 }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { released(p); }
+void operator delete[](void* p) noexcept { released(p); }
+void operator delete(void* p, std::size_t) noexcept { released(p); }
+void operator delete[](void* p, std::size_t) noexcept { released(p); }
+void operator delete(void* p, std::align_val_t) noexcept { released(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { released(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  released(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  released(p);
 }
 
 namespace caa {
@@ -201,6 +225,44 @@ TEST(NetAlloc, PoolDropsOversizedAndOverflowBuffers) {
   src.push_back(std::byte{0xcd});
   const net::Bytes copy = pool.copy_of(src);
   EXPECT_EQ(copy, src);
+}
+
+struct Footprint {
+  std::int64_t after_setup = 0;  // live bytes once every member entered
+  std::int64_t peak = 0;         // high-water mark over setup and run
+};
+
+/// Live heap of one relay-tree world of `members` members with 4 raisers,
+/// measured against what was live before it was built.
+Footprint tree_world_footprint(int members) {
+  const std::int64_t base = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_bytes.store(base, std::memory_order_relaxed);
+  Footprint out;
+  {
+    scenario::FlatOptions options;
+    options.participants = members;
+    options.raisers = 4;
+    options.world.overlay.mode = overlay::OverlayParams::Mode::kTree;
+    scenario::FlatScenario world(options);
+    out.after_setup = g_live_bytes.load(std::memory_order_relaxed) - base;
+    EXPECT_TRUE(world.run().all_handled) << members << " members";
+  }
+  out.peak = g_peak_bytes.load(std::memory_order_relaxed) - base;
+  return out;
+}
+
+TEST(NetAlloc, TreeWorldMemoryGrowsLinearlyInMembers) {
+  // 4x the members: per-member state grows the heap 4x; an O(N) copy of
+  // the committee per member, or a dense per-pair channel table, grows it
+  // 16x. Allow 6x for fixed costs and allocator rounding.
+  const Footprint small = tree_world_footprint(512);
+  const Footprint large = tree_world_footprint(2048);
+  EXPECT_LE(large.after_setup, 6 * small.after_setup)
+      << "after setup: " << small.after_setup << " B at N=512, "
+      << large.after_setup << " B at N=2048";
+  EXPECT_LE(large.peak, 6 * small.peak)
+      << "peak: " << small.peak << " B at N=512, " << large.peak
+      << " B at N=2048";
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Unit tests of the network substrate: wire format, FIFO channels, latency,
-// fault injection, node crashes, reliable transport, group directory.
+// fault injection, node crashes, reliable transport.
 #include <gtest/gtest.h>
 
-#include "net/group.h"
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "net/network.h"
 #include "net/reliable_link.h"
 #include "net/wire.h"
@@ -155,6 +158,74 @@ TEST(Network, CountsPerKind) {
   EXPECT_EQ(f.sim.obs().metrics().value("net.delivered.Exception"), 1);
 }
 
+/// Sends 40 tagged packets 0 -> 5 (7 ticks apart, from `start`) over a
+/// jittery, lossy link and returns (tag, delivery latency) per delivered
+/// packet. With `warm`, channels the probe pair never uses are created
+/// first — in descending order, with destinations past the probe's, so
+/// the probe pair's state lands at a different pool slot and row size.
+std::vector<std::pair<int, sim::Time>> probe_pair_latencies(bool warm) {
+  sim::Simulator simulator;
+  Network net(simulator, 1234);
+  LinkParams link;
+  link.latency_base = 50;
+  link.latency_jitter = 500;
+  link.drop_probability = 0.25;
+  net.set_default_link(link);
+  constexpr int kNodes = 12;
+  std::vector<std::pair<int, sim::Time>> out;
+  std::vector<sim::Time> sent_at(40, 0);
+  for (int n = 0; n < kNodes; ++n) {
+    net.add_node(NodeId(n));
+    net.set_endpoint(NodeId(n), [&, n](Packet&& p) {
+      if (n != 5 || p.src.node != NodeId(0)) return;
+      const int tag = static_cast<int>(p.payload[0]);
+      out.emplace_back(tag, simulator.now() - sent_at[tag]);
+    });
+  }
+  auto make = [](int from, int to, int tag) {
+    Packet p;
+    p.src = Address{NodeId(from), ObjectId(0)};
+    p.dst = Address{NodeId(to), ObjectId(1)};
+    p.kind = MsgKind::kAppData;
+    p.payload = Bytes{std::byte{static_cast<std::uint8_t>(tag)}};
+    return p;
+  };
+  if (warm) {
+    for (int src = kNodes - 1; src >= 0; --src) {
+      for (int dst = kNodes - 1; dst >= 0; --dst) {
+        if (src == dst || (src == 0 && dst == 5)) continue;
+        net.send(make(src, dst, 0));
+      }
+    }
+    simulator.run_to_quiescence();
+  }
+  const sim::Time start = simulator.now() + 1000;
+  for (int tag = 0; tag < 40; ++tag) {
+    simulator.schedule_at(start + 7 * tag, [&, tag] {
+      sent_at[tag] = simulator.now();
+      net.send(make(0, 5, tag));
+    });
+  }
+  simulator.run_to_quiescence();
+  return out;
+}
+
+TEST(Network, PairBehaviourIndependentOfOtherChannels) {
+  // Channel state is created lazily on first use; each pair's RNG is
+  // seeded from (seed, src, dst) alone, so which other channels exist —
+  // and in what order they were created — must not move a single drop
+  // decision or delivery time on this pair.
+  const auto cold = probe_pair_latencies(false);
+  const auto warm = probe_pair_latencies(true);
+  EXPECT_EQ(cold, warm);
+  // The probe must exercise the RNG: some drops, several latencies.
+  EXPECT_GT(cold.size(), 10u);
+  EXPECT_LT(cold.size(), 40u);
+  std::set<sim::Time> latencies;
+  for (const auto& [tag, latency] : cold) latencies.insert(latency);
+  EXPECT_GT(latencies.size(), 5u);
+}
+
 TEST(ReliableTransport, DeliversInOrderOverLossyLink) {
   sim::Simulator simulator;
   Network net(simulator, 4242);
@@ -204,19 +275,6 @@ TEST(ReliableTransport, SuppressesDuplicates) {
   }
   simulator.run_to_quiescence();
   EXPECT_EQ(delivered, 40);  // exactly once despite duplicates
-}
-
-TEST(GroupDirectory, CreateQueryDissolve) {
-  GroupDirectory groups;
-  const GroupId g = groups.create({ObjectId(3), ObjectId(1), ObjectId(2)});
-  EXPECT_TRUE(groups.exists(g));
-  // Members come back sorted (the §4.1 ordering).
-  EXPECT_EQ(groups.members(g),
-            (std::vector<ObjectId>{ObjectId(1), ObjectId(2), ObjectId(3)}));
-  EXPECT_TRUE(groups.is_member(g, ObjectId(2)));
-  EXPECT_FALSE(groups.is_member(g, ObjectId(9)));
-  groups.dissolve(g);
-  EXPECT_FALSE(groups.exists(g));
 }
 
 TEST(MessageKinds, Classification) {

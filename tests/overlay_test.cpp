@@ -4,6 +4,10 @@
 // when relays crash mid-broadcast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -12,6 +16,7 @@
 #include "fault/chaos.h"
 #include "overlay/relay_tree.h"
 #include "scenario/scenarios.h"
+#include "util/hash.h"
 
 namespace caa {
 namespace {
@@ -34,7 +39,9 @@ std::vector<ObjectId> make_members(int n, int first = 0) {
 
 TEST(RelayTree, HeapShapeRootAndNeighbors) {
   // 13 members, fanout 3: implicit heap positions, root = lowest member.
-  const RelayTree tree(make_members(13), 3);
+  // The tree borrows its member list, so the list outlives it.
+  const std::vector<ObjectId> members = make_members(13);
+  const RelayTree tree(members, 3);
   EXPECT_EQ(tree.live_count(), 13u);
   EXPECT_EQ(tree.root(), ObjectId(0));
   EXPECT_EQ(tree.depth_of(ObjectId(0)), 0u);
@@ -53,13 +60,16 @@ TEST(RelayTree, HeapShapeRootAndNeighbors) {
 }
 
 TEST(RelayTree, FingerprintIsDeterministic) {
-  const RelayTree a(make_members(64), 8);
-  const RelayTree b(make_members(64), 8);
+  const std::vector<ObjectId> m64 = make_members(64);
+  const std::vector<ObjectId> m64_copy = make_members(64);
+  const std::vector<ObjectId> m63 = make_members(63);
+  const RelayTree a(m64, 8);
+  const RelayTree b(m64_copy, 8);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   // Fanout and membership both feed the digest.
-  const RelayTree narrower(make_members(64), 4);
+  const RelayTree narrower(m64, 4);
   EXPECT_NE(a.fingerprint(), narrower.fingerprint());
-  const RelayTree smaller(make_members(63), 8);
+  const RelayTree smaller(m63, 8);
   EXPECT_NE(a.fingerprint(), smaller.fingerprint());
 }
 
@@ -67,7 +77,8 @@ TEST(RelayTree, RebuildMatchesFreshTreeOverSurvivors) {
   // Healing is recomputation: excluding members must land on exactly the
   // tree a fresh construction over the survivors produces — including when
   // the root itself dies.
-  RelayTree tree(make_members(20), 3);
+  const std::vector<ObjectId> members = make_members(20);
+  RelayTree tree(members, 3);
   tree.rebuild({ObjectId(0), ObjectId(7), ObjectId(13)});
   std::vector<ObjectId> survivors;
   for (int i = 0; i < 20; ++i) {
@@ -86,7 +97,8 @@ TEST(RelayTree, NextHopRoutesEveryPair) {
   // Hop-by-hop forwarding along next_hop() must reach every target from
   // every source within the tree diameter.
   const int n = 23;
-  const RelayTree tree(make_members(n), 3);
+  const std::vector<ObjectId> members = make_members(n);
+  const RelayTree tree(members, 3);
   for (int a = 0; a < n; ++a) {
     for (int b = 0; b < n; ++b) {
       if (a == b) continue;
@@ -102,6 +114,124 @@ TEST(RelayTree, NextHopRoutesEveryPair) {
                     static_cast<std::uint64_t>(a))) +
                                  tree.depth_of(target)));
     }
+  }
+}
+
+/// Reference tree built the slow, obvious way: an explicit copy of the
+/// live list, an undirected adjacency map, and breadth-first search for
+/// routes and depths. Shares nothing with RelayTree but the heap layout rule.
+struct NaiveTree {
+  std::vector<ObjectId> live;
+  std::uint32_t fanout;
+  std::map<ObjectId, std::vector<ObjectId>> adjacent;
+
+  NaiveTree(const std::vector<ObjectId>& members,
+            const std::set<ObjectId>& excluded, std::uint32_t k)
+      : fanout(k) {
+    for (ObjectId m : members) {
+      if (!excluded.contains(m)) live.push_back(m);
+    }
+    for (ObjectId m : live) adjacent[m];
+    for (std::size_t i = 1; i < live.size(); ++i) {
+      const ObjectId parent = live[(i - 1) / k];
+      adjacent[live[i]].push_back(parent);
+      adjacent[parent].push_back(live[i]);
+    }
+  }
+
+  /// Breadth-first predecessor map rooted at `from`.
+  [[nodiscard]] std::map<ObjectId, ObjectId> bfs(ObjectId from) const {
+    std::map<ObjectId, ObjectId> pred{{from, from}};
+    std::deque<ObjectId> frontier{from};
+    while (!frontier.empty()) {
+      const ObjectId at = frontier.front();
+      frontier.pop_front();
+      for (ObjectId n : adjacent.at(at)) {
+        if (pred.emplace(n, at).second) frontier.push_back(n);
+      }
+    }
+    return pred;
+  }
+
+  [[nodiscard]] std::vector<ObjectId> neighbors_of(ObjectId m) const {
+    std::vector<ObjectId> out = adjacent.at(m);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  [[nodiscard]] ObjectId next_hop(ObjectId self, ObjectId target) const {
+    const std::map<ObjectId, ObjectId> pred = bfs(self);
+    ObjectId at = target;
+    while (pred.at(at) != self) at = pred.at(at);
+    return at;
+  }
+
+  [[nodiscard]] std::uint32_t depth_of(ObjectId m) const {
+    const std::map<ObjectId, ObjectId> pred = bfs(live.front());
+    std::uint32_t depth = 0;
+    for (ObjectId at = m; at != live.front(); at = pred.at(at)) ++depth;
+    return depth;
+  }
+
+  [[nodiscard]] std::uint64_t fingerprint() const {
+    std::uint64_t h = fnv1a64_mix(kFnv1a64Offset, fanout);
+    for (ObjectId m : live) h = fnv1a64_mix(h, m.value());
+    return h;
+  }
+};
+
+void expect_matches_reference(const RelayTree& tree,
+                              const std::vector<ObjectId>& members,
+                              const std::set<ObjectId>& excluded,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  const NaiveTree ref(members, excluded, tree.fanout());
+  ASSERT_EQ(tree.live_count(), ref.live.size());
+  EXPECT_EQ(tree.root(), ref.live.front());
+  EXPECT_EQ(tree.fingerprint(), ref.fingerprint());
+  for (ObjectId m : members) {
+    EXPECT_EQ(tree.contains(m), !excluded.contains(m)) << m.value();
+  }
+  for (ObjectId self : ref.live) {
+    std::vector<ObjectId> got = tree.neighbors_of(self);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, ref.neighbors_of(self)) << "neighbors of " << self.value();
+    EXPECT_EQ(tree.depth_of(self), ref.depth_of(self)) << self.value();
+    for (ObjectId target : ref.live) {
+      if (target == self) continue;
+      EXPECT_EQ(tree.next_hop(self, target), ref.next_hop(self, target))
+          << self.value() << " -> " << target.value();
+    }
+  }
+}
+
+TEST(RelayTree, BorrowedListMatchesNaiveReferenceThroughExclusions) {
+  // Contiguous ids and ids with uneven gaps (rank != id - first): the tree
+  // reads the caller's list in place while healthy, owns a survivor list
+  // once someone is excluded, and falls back to the borrowed list when the
+  // exclusion set empties again.
+  std::vector<ObjectId> gapped;
+  for (int i = 0; i < 30; ++i) {
+    gapped.emplace_back(static_cast<std::uint64_t>(7 * i + (i * i) % 5 + 3));
+  }
+  const std::vector<std::vector<ObjectId>> lists = {make_members(30, 1),
+                                                    gapped};
+  for (const std::vector<ObjectId>& members : lists) {
+    RelayTree tree(members, 3);
+    EXPECT_EQ(&tree.committee(), &members) << "the tree must borrow";
+    expect_matches_reference(tree, members, {}, "healthy");
+
+    // First an interior relay, then the root itself.
+    std::set<ObjectId> excluded{members[4]};
+    tree.rebuild(excluded);
+    expect_matches_reference(tree, members, excluded, "one exclusion");
+    excluded.insert(members[0]);
+    tree.rebuild(excluded);
+    expect_matches_reference(tree, members, excluded, "two exclusions");
+    EXPECT_EQ(&tree.committee(), &members);
+
+    tree.rebuild({});
+    expect_matches_reference(tree, members, {}, "healed back");
   }
 }
 

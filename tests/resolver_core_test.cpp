@@ -21,6 +21,9 @@ struct Bus {
     net::Bytes payload;
   };
 
+  // The engines borrow the member list, so the bus owns it for their
+  // lifetime (declared first: destroyed after the engines).
+  std::vector<ObjectId> members;
   std::vector<std::unique_ptr<ResolverCore>> engines;
   std::deque<Wire> queue;
   std::vector<ExceptionId> handled;      // resolved per engine (by index)
@@ -32,7 +35,6 @@ struct Bus {
                std::uint32_t round = 0) {
     handled.assign(n, ExceptionId::invalid());
     aborted.assign(n, 0);
-    std::vector<ObjectId> members;
     for (std::size_t i = 0; i < n; ++i) members.push_back(ObjectId(i));
     for (std::size_t i = 0; i < n; ++i) {
       ResolverCore::Hooks hooks;

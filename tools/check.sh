@@ -127,6 +127,24 @@ if grep -nE 'managed_deliver|managed_drop|managed_in_flight|set_managed|explore:
 fi
 echo "participant is clean of scheduler-choice logic"
 
+# One owner per member list: a scope's sorted committee lives once, in
+# action::InstanceInfo::members, and the per-participant engines (resolver,
+# avoidance, overlay scopes, relay trees) borrow it. A std::vector<ObjectId>
+# data member named like the committee in src/resolve/ or src/overlay/ is a
+# per-member O(N) copy regrowing — O(N^2) memory per action. The
+# Arche/centralized/Campbell-Randell baselines are standalone comparators
+# outside the CA stack (no InstanceInfo to borrow from); their Config is the
+# list's only owner, so they are exempt.
+echo "==== committee-ownership grep gate ========================="
+if grep -rnE 'std::vector<ObjectId>[[:space:]]+(members_|members|all_)[[:space:]]*(;|=|\{)' \
+    --exclude=arche_resolver.h --exclude=centralized_resolver.h \
+    --exclude=cr_resolver.h src/resolve src/overlay; then
+  echo "a committee copy regrew in src/resolve/ or src/overlay/" >&2
+  echo "(borrow InstanceInfo::members by reference — see caa/action_instance.h)" >&2
+  exit 1
+fi
+echo "resolve and overlay borrow the committee"
+
 # caa-inspect must keep decoding the committed dump format: render the
 # golden .caafr and diff against the golden rendering the tests pin.
 echo "==== caa-inspect golden decode ============================="
