@@ -178,17 +178,19 @@ void Network::send(Packet packet) {
     o.metrics().record(bytes_hist_,
                        static_cast<std::int64_t>(packet.size_on_wire()));
   }
+  // Deliveries are never cancelled: posting keeps them (and a duplicate) on
+  // the event queue's near-horizon wheel instead of its heap.
   if (duplicate) {
     count(kc.duplicated);
     Packet copy = packet;
     copy.payload = BytesPool::local().copy_of(packet.payload);
     const sim::Time at2 = ch.sample_delivery_time(simulator_.now(),
                                                   copy.size_on_wire());
-    simulator_.schedule_at(at2, [this, p = std::move(copy)]() mutable {
+    simulator_.post_at(at2, [this, p = std::move(copy)]() mutable {
       deliver(std::move(p));
     });
   }
-  simulator_.schedule_at(at, [this, p = std::move(packet)]() mutable {
+  simulator_.post_at(at, [this, p = std::move(packet)]() mutable {
     deliver(std::move(p));
   });
   simulator_.obs().health().add(obs::Gauge::kNetInFlight, duplicate ? 2 : 1);

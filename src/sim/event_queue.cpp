@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/check.h"
@@ -39,6 +40,7 @@ void EventQueue::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.fn = EventFn();  // drop the capture eagerly
   slot.heap_pos = kNone;
+  slot.posted = false;
   // 2^32-2 cap keeps encode() clear of StrongId's invalid all-ones value.
   slot.generation = slot.generation >= kNone - 1 ? 0 : slot.generation + 1;
   slot.next_free = free_head_;
@@ -108,14 +110,36 @@ EventQueue::HeapEntry EventQueue::remove_at(std::uint32_t pos) {
 }
 
 void EventQueue::renumber_seqs() {
-  std::vector<std::uint32_t> order(heap_.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return before(heap_[a], heap_[b]);
-            });
+  struct Ref {
+    Time time;
+    std::uint32_t seq;
+    std::uint32_t* where;
+  };
+  std::vector<Ref> refs;
+  refs.reserve(size());
+  for (HeapEntry& entry : heap_) {
+    refs.push_back({entry.time, entry.seq, &entry.seq});
+  }
+  for (std::size_t index = 0; wheel_size_ != 0 && index < kWheelTicks;
+       ++index) {
+    const Bucket& bucket = buckets_[index];
+    const Time time = bucket_time(index);
+    std::uint32_t pos = bucket.head_pos;
+    for (Chunk* chunk = bucket.head; chunk != nullptr;
+         chunk = chunk->next, pos = 0) {
+      const std::uint32_t end =
+          chunk == bucket.tail ? bucket.tail_fill : kChunkEntries;
+      for (; pos < end; ++pos) {
+        WheelEntry& entry = chunk->entries[pos];
+        refs.push_back({time, entry.seq, &entry.seq});
+      }
+    }
+  }
+  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  });
   std::uint32_t next = 0;
-  for (const std::uint32_t pos : order) heap_[pos].seq = next++;
+  for (const Ref& ref : refs) *ref.where = next++;
   next_seq_ = next;
 }
 
@@ -143,18 +167,111 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
+void EventQueue::post(Time at, EventFn fn, std::uint64_t cause) {
+  if (at < wheel_base_ || at - wheel_base_ >= kWheelTicks) {
+    // Outside the wheel's window: the heap holds it, still without an id.
+    slots_[slot_of(schedule(at, std::move(fn), cause).value())].posted = true;
+    return;
+  }
+  if (next_seq_ == kNone) renumber_seqs();
+  if (!buckets_) buckets_ = std::make_unique<Bucket[]>(kWheelTicks);
+  const auto index = static_cast<std::size_t>(at) & (kWheelTicks - 1);
+  Bucket& bucket = buckets_[index];
+  if (bucket.tail == nullptr) {
+    bucket.head = bucket.tail = acquire_chunk();
+    occupied_[index / 64] |= std::uint64_t{1} << (index % 64);
+  } else if (bucket.tail_fill == kChunkEntries) {
+    Chunk* chunk = acquire_chunk();
+    bucket.tail->next = chunk;
+    bucket.tail = chunk;
+    bucket.tail_fill = 0;
+  }
+  WheelEntry& entry = bucket.tail->entries[bucket.tail_fill++];
+  entry.seq = next_seq_++;
+  entry.cause = cause;
+  entry.fn = std::move(fn);
+  ++wheel_size_;
+}
+
+EventQueue::Chunk* EventQueue::acquire_chunk() {
+  if (free_chunks_ != nullptr) {
+    Chunk* chunk = free_chunks_;
+    free_chunks_ = chunk->next;
+    chunk->next = nullptr;
+    return chunk;
+  }
+  chunks_.push_back(std::make_unique<Chunk>());
+  return chunks_.back().get();
+}
+
+void EventQueue::release_chunk(Chunk* chunk) {
+  chunk->next = free_chunks_;  // every entry was moved out by pop_wheel()
+  free_chunks_ = chunk;
+}
+
+std::size_t EventQueue::wheel_front() const {
+  // Scan the bitmap cyclically from wheel_base_'s bucket: the first set bit
+  // is the earliest tick, because every entry lies within one horizon.
+  const auto start = static_cast<std::size_t>(wheel_base_) & (kWheelTicks - 1);
+  std::size_t word = start / 64;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (start % 64));
+  for (std::size_t i = 0; i <= kWords; ++i) {
+    if (bits != 0) {
+      return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+    word = (word + 1) % kWords;
+    bits = occupied_[word];
+  }
+  CAA_CHECK_MSG(false, "wheel_front() on an empty wheel");
+  return 0;
+}
+
+EventQueue::Fired EventQueue::pop_wheel(std::size_t index) {
+  Bucket& bucket = buckets_[index];
+  WheelEntry& entry = bucket.head->entries[bucket.head_pos++];
+  const Time time = bucket_time(index);
+  Fired fired{time, EventId(), std::move(entry.fn), entry.cause};
+  if (bucket.head == bucket.tail && bucket.head_pos == bucket.tail_fill) {
+    release_chunk(bucket.head);
+    bucket = Bucket{};
+    occupied_[index / 64] &= ~(std::uint64_t{1} << (index % 64));
+  } else if (bucket.head_pos == kChunkEntries) {
+    Chunk* done = bucket.head;
+    bucket.head = done->next;
+    bucket.head_pos = 0;
+    release_chunk(done);
+  }
+  --wheel_size_;
+  wheel_base_ = time;  // the global minimum, so never below the old base
+  return fired;
+}
+
 Time EventQueue::next_time() const {
-  CAA_CHECK_MSG(!heap_.empty(), "next_time() on empty queue");
-  return heap_.front().time;
+  CAA_CHECK_MSG(!empty(), "next_time() on empty queue");
+  if (wheel_size_ == 0) return heap_.front().time;
+  const Time wheel = bucket_time(wheel_front());
+  return heap_.empty() ? wheel : std::min(wheel, heap_.front().time);
 }
 
 EventQueue::Fired EventQueue::pop() {
-  CAA_CHECK_MSG(!heap_.empty(), "pop() on empty queue");
+  CAA_CHECK_MSG(!empty(), "pop() on empty queue");
+  if (wheel_size_ != 0) {
+    // Merge the tiers by exact (time, seq).
+    const std::size_t index = wheel_front();
+    if (heap_.empty()) return pop_wheel(index);
+    const Bucket& bucket = buckets_[index];
+    const HeapEntry front{bucket_time(index),
+                          bucket.head->entries[bucket.head_pos].seq, 0};
+    if (before(front, heap_.front())) return pop_wheel(index);
+  }
   const HeapEntry entry = remove_at(0);
   Slot& slot = slots_[entry.slot];
-  Fired fired{entry.time, EventId(encode(slot.generation, entry.slot)),
+  Fired fired{entry.time,
+              slot.posted ? EventId() : EventId(encode(slot.generation,
+                                                       entry.slot)),
               std::move(slot.fn), slot.cause};
   release_slot(entry.slot);
+  wheel_base_ = std::max(wheel_base_, entry.time);
   return fired;
 }
 

@@ -22,6 +22,11 @@ EventId Simulator::schedule_at(Time at, EventFn fn) {
   return queue_.schedule(at, std::move(fn), obs_.recorder().current_cause());
 }
 
+void Simulator::post_at(Time at, EventFn fn) {
+  CAA_CHECK_MSG(at >= now_, "posting into the past");
+  queue_.post(at, std::move(fn), obs_.recorder().current_cause());
+}
+
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto fired = queue_.pop();

@@ -29,6 +29,12 @@ class Simulator {
   /// Schedules `fn` at absolute virtual time `at` (>= now()).
   EventId schedule_at(Time at, EventFn fn);
 
+  /// Posts a fire-once event at absolute virtual time `at` (>= now()). It
+  /// cannot be cancelled, which lets the queue keep it on its near-horizon
+  /// wheel (sim/event_queue.h); it fires in the same (time, scheduling
+  /// order) position a schedule_at() would have. Packet deliveries use it.
+  void post_at(Time at, EventFn fn);
+
   /// Cancels a pending event. Returns false if already fired/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
 

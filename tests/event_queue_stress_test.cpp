@@ -1,8 +1,9 @@
-// Stress and determinism tests for the arena event queue.
+// Stress and determinism tests for the two-tier event queue.
 //
-// The queue is the engine under every reproduced claim in the repo, so the
-// arena redesign gets adversarial coverage: randomized schedule/cancel/pop
-// interleavings checked against a reference model, slot-leak accounting,
+// The queue is the engine under every reproduced claim in the repo, so both
+// tiers get adversarial coverage: randomized schedule/post/cancel/pop
+// interleavings checked against a reference model, same-time ordering across
+// the tiers, sequence renumbering, slot-leak and chunk-pool accounting,
 // small-buffer-callable semantics, and a pinned trace fingerprint of the
 // paper's §4.3 Example 1 proving protocol behaviour is byte-identical.
 #include <gtest/gtest.h>
@@ -18,6 +19,15 @@
 #include "util/rng.h"
 
 namespace caa::sim {
+
+/// Test-only access to the queue's shared sequence counter.
+struct EventQueueTestPeer {
+  static void set_next_seq(EventQueue& q, std::uint32_t seq) {
+    q.next_seq_ = seq;
+  }
+  static std::uint32_t next_seq(const EventQueue& q) { return q.next_seq_; }
+};
+
 namespace {
 
 /// Golden FNV-1a digest of the §4.3 Example 1 protocol trace (computed by
@@ -73,9 +83,11 @@ TEST(EventFn, DestroysCaptureWithoutFiring) {
 }
 
 /// Randomized interleavings against a reference model: a sorted set of
-/// (time, seq) plus id bookkeeping. Verifies pop order (time, then
-/// scheduling order), cancel semantics, size accounting, and that the
-/// arena never leaks slots.
+/// (time, seq) plus id bookkeeping. schedule(), post(), cancel() and pop()
+/// interleave; posts land inside the wheel's horizon, beyond it and before
+/// the latest pop, so both tiers and the fallback between them are hit.
+/// Verifies pop order (time, then scheduling order) across the tiers, cancel
+/// semantics, size accounting, and that neither tier leaks storage.
 TEST(EventQueueStress, RandomScheduleCancelPopMatchesReferenceModel) {
   for (const std::uint64_t seed : {1ULL, 42ULL, 0xDEADBEEFULL}) {
     Rng rng(seed);
@@ -88,16 +100,19 @@ TEST(EventQueueStress, RandomScheduleCancelPopMatchesReferenceModel) {
     };
     // Reference: live events sorted by (time, order).
     std::set<std::pair<Time, std::uint64_t>> model;
-    std::map<std::uint64_t, ModelEvent> by_order;  // live only
+    std::map<std::uint64_t, ModelEvent> by_order;  // live scheduled only
     std::vector<EventId> dead_ids;
     std::uint64_t next_order = 0;
     std::uint64_t fired_payload = 0;  // written by event bodies
     std::size_t max_live = 0;
+    std::size_t max_posted = 0;
+    std::size_t posted_live = 0;
+    Time last_pop = 0;
 
     for (int step = 0; step < 20000; ++step) {
       const std::uint64_t action = rng.below(100);
-      if (action < 55) {  // schedule
-        const Time at = static_cast<Time>(rng.below(500));
+      if (action < 35) {  // schedule
+        const Time at = last_pop + static_cast<Time>(rng.below(500)) - 100;
         const std::uint64_t order = next_order++;
         const EventId id = q.schedule(at, [order, &fired_payload] {
           fired_payload = fired_payload * 31 + order;
@@ -105,7 +120,18 @@ TEST(EventQueueStress, RandomScheduleCancelPopMatchesReferenceModel) {
         EXPECT_TRUE(id.valid());
         model.emplace(at, order);
         by_order.emplace(order, ModelEvent{at, order, id});
-      } else if (action < 75) {  // cancel a random live event
+      } else if (action < 55) {  // post: mostly in the horizon, some not
+        constexpr auto window =
+            static_cast<std::uint64_t>(2 * EventQueue::kWheelTicks);
+        const Time at = last_pop + static_cast<Time>(rng.below(window)) -
+                        static_cast<Time>(rng.below(50));
+        const std::uint64_t order = next_order++;
+        q.post(at, [order, &fired_payload] {
+          fired_payload = fired_payload * 31 + order;
+        });
+        model.emplace(at, order);
+        ++posted_live;
+      } else if (action < 70) {  // cancel a random live scheduled event
         if (by_order.empty()) continue;
         auto it = by_order.begin();
         std::advance(it, static_cast<long>(rng.below(by_order.size())));
@@ -127,8 +153,15 @@ TEST(EventQueueStress, RandomScheduleCancelPopMatchesReferenceModel) {
         EXPECT_EQ(fired_payload, before * 31 + expected.second)
             << "pop order diverged from (time, scheduling order)";
         model.erase(model.begin());
-        dead_ids.push_back(fired.id);
-        by_order.erase(expected.second);
+        const bool scheduled = by_order.erase(expected.second) == 1;
+        EXPECT_EQ(fired.id.valid(), scheduled)
+            << "only scheduled events carry an id";
+        if (scheduled) {
+          dead_ids.push_back(fired.id);
+        } else {
+          --posted_live;
+        }
+        last_pop = std::max(last_pop, fired.time);
       } else {  // cancel of an already-dead id must fail
         if (dead_ids.empty()) continue;
         const EventId id = dead_ids[rng.below(dead_ids.size())];
@@ -140,6 +173,7 @@ TEST(EventQueueStress, RandomScheduleCancelPopMatchesReferenceModel) {
         EXPECT_EQ(q.next_time(), model.begin()->first);
       }
       max_live = std::max(max_live, model.size());
+      max_posted = std::max(max_posted, posted_live);
     }
 
     // Drain; order must still match the model.
@@ -147,14 +181,147 @@ TEST(EventQueueStress, RandomScheduleCancelPopMatchesReferenceModel) {
       const auto expected = *model.begin();
       auto fired = q.pop();
       EXPECT_EQ(fired.time, expected.first);
+      const std::uint64_t before = fired_payload;
+      fired.fn();
+      EXPECT_EQ(fired_payload, before * 31 + expected.second);
       model.erase(model.begin());
     }
     EXPECT_TRUE(q.empty());
 
-    // No slot leaks: the arena never outgrows the concurrency high-water
-    // mark, regardless of how many events passed through in total.
+    // No leaks: the slot arena never outgrows the concurrency high-water
+    // mark, and the wheel's chunks never outgrow what the peak number of
+    // pending posts needs (plus a partly filled head and tail per bucket).
     EXPECT_LE(q.arena_slots(), max_live);
+    EXPECT_LE(q.wheel_chunks(), max_posted / EventQueue::kChunkEntries +
+                                    2 * EventQueue::kWheelTicks);
   }
+}
+
+/// Same-time events fire in scheduling order whichever tier holds them:
+/// schedule() goes to the heap, post() within the horizon to the wheel,
+/// post() beyond it to the heap.
+TEST(EventQueueStress, SameTimeEventsFireInSchedulingOrderAcrossTiers) {
+  EventQueue q;
+  std::vector<int> order;
+  constexpr Time kNear = 40;
+  constexpr Time kFar = EventQueue::kWheelTicks + 10;
+  for (int i = 0; i < 12; ++i) {
+    const Time at = i < 6 ? kNear : kFar;
+    auto fn = [&order, i] { order.push_back(i); };
+    if (i % 3 == 0) {
+      q.schedule(at, fn);
+    } else {
+      q.post(at, fn);
+    }
+  }
+  EXPECT_EQ(q.size(), 12u);
+  EXPECT_EQ(q.next_time(), kNear);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+/// A standalone queue takes posts before the latest pop and beyond the
+/// horizon; both fall back to the heap and still merge by (time, seq).
+TEST(EventQueueStress, PostsBeforeLastPopAndBeyondHorizonKeepOrder) {
+  EventQueue q;
+  std::vector<Time> times;
+  q.post(1000, [] {});  // beyond the horizon from 0: heap
+  EXPECT_EQ(q.wheel_chunks(), 0u);
+  EXPECT_EQ(q.pop().time, 1000);
+
+  const Time last = EventQueue::kWheelTicks - 1;
+  q.post(1000 + last, [&] { times.push_back(1000 + last); });  // wheel
+  q.post(1000 + last + 1, [&] { times.push_back(1000 + last + 1); });  // heap
+  q.post(900, [&] { times.push_back(900); });  // before the latest pop: heap
+  q.post(1000, [&] { times.push_back(1000); });  // at the latest pop: wheel
+  EXPECT_EQ(q.wheel_chunks(), 2u);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.next_time(), 900);
+  while (!q.empty()) {
+    auto fired = q.pop();
+    EXPECT_FALSE(fired.id.valid()) << "a posted event has no id";
+    fired.fn();
+  }
+  EXPECT_EQ(times,
+            (std::vector<Time>{900, 1000, 1000 + last, 1000 + last + 1}));
+}
+
+/// Near the 2^32 wrap of the shared sequence counter, renumbering must
+/// cover pending wheel entries too, or posts made after the wrap would jump
+/// ahead of same-time events made before it.
+TEST(EventQueueStress, RenumberingCoversBothTiers) {
+  EventQueue q;
+  std::vector<int> order;
+  int next = 0;
+  auto add = [&](Time at, bool post) {
+    auto fn = [&order, i = next++] { order.push_back(i); };
+    if (post) {
+      q.post(at, std::move(fn));
+    } else {
+      q.schedule(at, std::move(fn));
+    }
+  };
+  add(10, true);
+  add(20, false);
+  EventQueueTestPeer::set_next_seq(q, 0xFFFFFFFFu - 5);
+  for (int i = 0; i < 24; ++i) add(10 + 10 * (i % 2), i % 3 != 0);
+  EXPECT_LT(EventQueueTestPeer::next_seq(q), 100u) << "no renumbering ran";
+  std::vector<int> expected;
+  for (int i = 0; i < next; ++i) {
+    if (i % 2 == 0) expected.push_back(i);
+  }
+  for (int i = 0; i < next; ++i) {
+    if (i % 2 == 1) expected.push_back(i);
+  }
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueueStress, WheelChunkPoolStaysFlatUnderChurn) {
+  EventQueue q;
+  int fired = 0;
+  // 16 pending posts at all times, 50k post/pop cycles.
+  for (int i = 0; i < 16; ++i) q.post(i, [&fired] { ++fired; });
+  for (int i = 0; i < 50000; ++i) {
+    auto f = q.pop();
+    f.fn();
+    q.post(f.time + 16, [&fired] { ++fired; });
+  }
+  EXPECT_EQ(fired, 50000);
+  EXPECT_EQ(q.size(), 16u);
+  EXPECT_EQ(q.arena_slots(), 0u) << "in-horizon posts touched the heap";
+  EXPECT_LE(q.wheel_chunks(), 16u) << "wheel chunk pool leaked under churn";
+}
+
+/// Chunks are pooled across buckets: bursts into different ticks reuse the
+/// same chunks, and a burst spread over every bucket needs no more than the
+/// peak number of pending posts (plus one partly filled chunk per bucket).
+TEST(EventQueueStress, WheelBurstsStayBoundedByPeakPendingPosts) {
+  EventQueue q;
+  constexpr std::size_t kBurst = 8 * EventQueue::kWheelTicks;
+  Time base = 0;
+  for (int burst = 0; burst < 8; ++burst) {  // each into one other tick
+    const Time at = base + 1 + 29 * burst;
+    for (std::size_t i = 0; i < kBurst; ++i) q.post(at, [] {});
+    while (!q.empty()) base = q.pop().time;
+    EXPECT_EQ(q.wheel_chunks(), kBurst / EventQueue::kChunkEntries);
+  }
+  // The same number of posts spread over every bucket.
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    q.post(base + static_cast<Time>(i) % EventQueue::kWheelTicks, [] {});
+  }
+  EXPECT_LE(q.wheel_chunks(),
+            kBurst / EventQueue::kChunkEntries + EventQueue::kWheelTicks);
+  std::size_t drained = 0;
+  Time last = base;
+  while (!q.empty()) {
+    const Time t = q.pop().time;
+    EXPECT_GE(t, last);
+    last = t;
+    ++drained;
+  }
+  EXPECT_EQ(drained, kBurst);
+  EXPECT_EQ(q.arena_slots(), 0u);
 }
 
 TEST(EventQueueStress, ArenaStaysFlatUnderChurn) {

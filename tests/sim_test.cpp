@@ -94,6 +94,58 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+/// One step_block() cohort is every event at the earliest time, whichever
+/// queue tier holds it: timers, posted deliveries, and the zero-delay
+/// continuations (scheduled or posted) the cohort's own handlers add.
+TEST(Simulator, StepBlockCohortSpansBothQueueTiers) {
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_at(100, [&] {
+    order.push_back('A');
+    sim.post_at(sim.now(), [&] { order.push_back('E'); });
+    sim.schedule_after(0, [&] { order.push_back('F'); });
+  });
+  sim.post_at(100, [&] { order.push_back('B'); });
+  sim.schedule_at(100, [&] { order.push_back('C'); });
+  sim.post_at(101, [&] { order.push_back('D'); });
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.step_block(), 5u);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C', 'E', 'F'}));
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_GT(sim.next_event_time(), sim.now());
+  EXPECT_EQ(sim.step_block(), 1u);
+  EXPECT_TRUE(sim.idle());
+}
+
+/// run_until() moves the clock without popping, so the queue's wheel still
+/// sits at the latest pop; posts made after a long idle stretch must keep
+/// (time, seq) order with timers all the same.
+TEST(Simulator, PostAtAfterRunUntilPastTheHorizonKeepsOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.post_at(10, [&] { order.push_back(0); });
+  sim.run_until(10 * EventQueue::kWheelTicks);
+  const Time t = sim.now();
+  sim.post_at(t + 5, [&] { order.push_back(2); });
+  sim.schedule_at(t + 5, [&] { order.push_back(3); });
+  sim.post_at(t + 5, [&] { order.push_back(4); });
+  sim.post_at(t + 1, [&] {
+    order.push_back(1);
+    sim.post_at(sim.now() + 4, [&] { order.push_back(5); });
+    sim.post_at(sim.now() + 3, [&] { order.push_back(-1); });
+  });
+  sim.run_to_quiescence();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, -1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), t + 5);
+}
+
+TEST(SimulatorDeathTest, PostAtIntoThePastFails) {
+  Simulator sim;
+  sim.run_until(100);
+  EXPECT_DEATH(sim.post_at(99, [] {}), "into the past");
+  EXPECT_DEATH(sim.schedule_at(99, [] {}), "into the past");
+}
+
 TEST(Simulator, CountersAccumulate) {
   Simulator sim;
   const CounterId foo = CounterId::of("sim_test.foo");

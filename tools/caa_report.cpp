@@ -5,8 +5,9 @@
 //   caa-report RUN.json --json          normalized JSON re-emit
 //   caa-report --compare A.json B.json [--threshold 0.15]
 //       Diffs every numeric leaf of two reports (telemetry exports or
-//       BENCH_*.json files). Wall-clock figures (*_ms, *_per_sec, speedup,
-//       threads, nproc, repetitions) are machine-dependent and excluded.
+//       BENCH_*.json files). Wall-clock figures (*_ms, wall_ms*, *_per_sec,
+//       speedup, overhead, threads, nproc, repetitions) are
+//       machine-dependent and excluded.
 //       Leaves drifting beyond the threshold — or present in A but gone in
 //       B — fail the gate.
 //
@@ -51,9 +52,10 @@ bool excluded_key(const std::string& key) {
   };
   // Format revisions are metadata, not metrics: a schema bump must not
   // read as a perf regression.
-  return key == "wall_ms" || key == "speedup" || key == "threads" ||
+  return key == "speedup" || key == "overhead" || key == "threads" ||
          key == "nproc" || key == "repetitions" || key == "schema_version" ||
-         key == "version" || ends_with("_ms") || ends_with("_per_sec");
+         key == "version" || key.starts_with("wall_ms") ||
+         ends_with("_ms") || ends_with("_per_sec");
 }
 
 /// Flattens every numeric leaf into path -> value. Array elements are

@@ -182,8 +182,11 @@ if [ -n "${tooldir}" ] && [ -x "${tooldir}/caa-report" ]; then
   fresh_bench=""
   if [ -x "${bench_dir}/bench/bench_throughput" ]; then
     fresh_bench="$(mktemp /tmp/BENCH_throughput.XXXXXX.json)"
-    "${bench_dir}/bench/bench_throughput" --reps 1 --json "${fresh_bench}" \
-      > /dev/null
+    # Same repetitions as the record: latency counts scale with them.
+    reps="$(grep -o '"repetitions": *[0-9]*' BENCH_throughput.json \
+      | grep -o '[0-9]*$')"
+    "${bench_dir}/bench/bench_throughput" --reps "${reps}" \
+      --json "${fresh_bench}" > /dev/null
     "${tooldir}/caa-report" --compare BENCH_throughput.json "${fresh_bench}" \
       || { echo "fresh bench drifted >15% from the committed BENCH_throughput.json" >&2; exit 1; }
     rm -f "${fresh_bench}"
